@@ -98,36 +98,42 @@ let check_reachability idx (sm : Smachine.t) acc =
 (* --- SC-02: transient pseudostates must reach a stable vertex -------- *)
 
 let check_stabilization idx (sm : Smachine.t) acc =
-  (* Memoized: can this vertex, crossing only pseudostates, reach a
-     state or final?  History restores a state and terminate halts the
-     machine; both count as settled. *)
-  let memo = Hashtbl.create 16 in
-  let rec stabilizes visited id =
-    match Hashtbl.find_opt memo id with
-    | Some b -> b
-    | None ->
-      if Ident.Set.mem id visited then false
-      else
-        let visited = Ident.Set.add id visited in
-        let b =
-          match Hashtbl.find_opt idx.vertices id with
-          | Some (Smachine.State _) | Some (Smachine.Final _) | None -> true
-          | Some (Smachine.Pseudo p) -> (
-            match p.Smachine.ps_kind with
-            | Smachine.Deep_history | Smachine.Shallow_history
-            | Smachine.Terminate ->
-              true
-            | Smachine.Initial | Smachine.Join | Smachine.Fork
-            | Smachine.Junction | Smachine.Choice | Smachine.Entry_point
-            | Smachine.Exit_point ->
-              List.exists
-                (fun (t : Smachine.transition) ->
-                  stabilizes visited t.Smachine.tr_target)
-                (Option.value ~default:[]
-                   (Hashtbl.find_opt idx.outgoing id)))
-        in
-        Hashtbl.replace memo id b;
-        b
+  (* Can this vertex, crossing only pseudostates, reach a state or
+     final?  History restores a state and terminate halts the machine;
+     both count as settled.  One depth-first search per root, each
+     vertex entered once; only [true] is memoized across roots — a
+     [false] found while an ancestor was still open on a cycle says
+     nothing about the vertex on its own. *)
+  let settled = Hashtbl.create 16 in
+  let stabilizes root =
+    let seen = Hashtbl.create 16 in
+    let rec reaches id =
+      Hashtbl.mem settled id
+      || (not (Hashtbl.mem seen id))
+         && begin
+           Hashtbl.replace seen id ();
+           let b =
+             match Hashtbl.find_opt idx.vertices id with
+             | Some (Smachine.State _) | Some (Smachine.Final _) | None -> true
+             | Some (Smachine.Pseudo p) -> (
+               match p.Smachine.ps_kind with
+               | Smachine.Deep_history | Smachine.Shallow_history
+               | Smachine.Terminate ->
+                 true
+               | Smachine.Initial | Smachine.Join | Smachine.Fork
+               | Smachine.Junction | Smachine.Choice | Smachine.Entry_point
+               | Smachine.Exit_point ->
+                 List.exists
+                   (fun (t : Smachine.transition) ->
+                     reaches t.Smachine.tr_target)
+                   (Option.value ~default:[]
+                      (Hashtbl.find_opt idx.outgoing id)))
+           in
+           if b then Hashtbl.replace settled id ();
+           b
+         end
+    in
+    reaches root
   in
   (* audited: hash-order fold, neutralized by [Model_info.sort] in
      [Check.apply] (see the SC-01 pass) *)
@@ -136,7 +142,7 @@ let check_stabilization idx (sm : Smachine.t) acc =
       match v with
       | Smachine.Pseudo p
         when Hashtbl.find_opt idx.outgoing id <> None
-             && not (stabilizes Ident.Set.empty id) ->
+             && not (stabilizes id) ->
         Model_info.diagf ~code:"SC-02" ~element:id
           "pseudostate %s of %s cannot reach a stable state (paths stay \
            inside pseudostates)"

@@ -15,6 +15,23 @@ type entry = {
   mutable e_stamp : int;
 }
 
+(* What a digest memo record is keyed on: enough of the file's metadata
+   that any write, truncation, [utime], [chmod] or rename-over changes it
+   (ctime is the field nothing but the kernel can set). *)
+type signature = {
+  sg_dev : int;
+  sg_ino : int;
+  sg_size : int;
+  sg_mtime : float;
+  sg_ctime : float;
+}
+
+type memo = {
+  m_sig : signature;
+  m_trusted : bool;  (** stat'ed after the file had been quiet for the window *)
+  m_key : string;
+}
+
 type stats = {
   cs_entries : int;
   cs_bytes : int;
@@ -26,6 +43,7 @@ type stats = {
   cs_evictions : int;
   cs_persisted : int;
   cs_quarantined : int;
+  cs_key_reuses : int;
 }
 
 type t = {
@@ -34,6 +52,8 @@ type t = {
   max_entries : int;
   max_bytes : int;
   persist_dir : string option;
+  memo : (string, memo) Hashtbl.t;
+  now : unit -> float;
   mutable bytes : int;
   mutable tick : int;
   mutable hits : int;
@@ -42,14 +62,24 @@ type t = {
   mutable evictions : int;
   mutable persisted : int;
   mutable quarantined : int;
+  mutable key_reuses : int;
 }
 
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
+(* Git's racy-timestamp rule: a file changed less than this long before
+   it was stat'ed may change again within the same timestamp tick, so its
+   record is not trusted.  Two seconds covers the coarsest common
+   filesystem granularity (FAT's 2 s mtime). *)
+let racy_window = 2.0
+
+(* Paths remembered at once; the memo is reset, not evicted, past this. *)
+let memo_cap = 4096
+
 let create ?(max_entries = 64) ?(max_bytes = 256 * 1024 * 1024) ?persist_dir
-    () =
+    ?(now = Unix.gettimeofday) () =
   if max_entries < 1 then invalid_arg "Serve.Cache.create: max_entries < 1";
   if max_bytes < 1 then invalid_arg "Serve.Cache.create: max_bytes < 1";
   (match persist_dir with
@@ -61,6 +91,8 @@ let create ?(max_entries = 64) ?(max_bytes = 256 * 1024 * 1024) ?persist_dir
     max_entries;
     max_bytes;
     persist_dir;
+    memo = Hashtbl.create 64;
+    now;
     bytes = 0;
     tick = 0;
     hits = 0;
@@ -69,6 +101,7 @@ let create ?(max_entries = 64) ?(max_bytes = 256 * 1024 * 1024) ?persist_dir
     evictions = 0;
     persisted = 0;
     quarantined = 0;
+    key_reuses = 0;
   }
 
 let next_stamp t =
@@ -160,12 +193,46 @@ let persist t key model =
       | exception _ -> ()
     end
 
-let load t path =
+let signature_of st =
+  {
+    sg_dev = st.Unix.st_dev;
+    sg_ino = st.Unix.st_ino;
+    sg_size = st.Unix.st_size;
+    sg_mtime = st.Unix.st_mtime;
+    sg_ctime = st.Unix.st_ctime;
+  }
+
+(* The memo short-cuts only a hit: a trusted record whose signature still
+   matches and whose key is still resident.  Anything else re-reads and
+   re-hashes, so decoding only ever runs on bytes that were hashed. *)
+let reuse t path sg =
+  match Hashtbl.find_opt t.memo path with
+  | Some r when r.m_trusted && r.m_sig = sg -> (
+    match Hashtbl.find_opt t.table r.m_key with
+    | Some e ->
+      e.e_stamp <- next_stamp t;
+      t.hits <- t.hits + 1;
+      t.key_reuses <- t.key_reuses + 1;
+      Some (e.e_artifacts, r.m_key, Hit)
+    | None -> None)
+  | Some _ | None -> None
+
+let remember t path sg ~trusted key =
+  if Hashtbl.length t.memo >= memo_cap && not (Hashtbl.mem t.memo path) then
+    Hashtbl.reset t.memo;
+  Hashtbl.replace t.memo path { m_sig = sg; m_trusted = trusted; m_key = key }
+
+(* [stat] is the stat taken before the bytes were read: the recorded
+   signature is never newer than the bytes it keys. *)
+let load_bytes t path ~stat =
   match Load.read_bytes path with
   | Error msg -> Error msg
   | Ok data ->
     let key = Digest.to_hex (Digest.string data) in
     locked t (fun () ->
+        Option.iter
+          (fun (sg, trusted) -> remember t path sg ~trusted key)
+          stat;
         match Hashtbl.find_opt t.table key with
         | Some e ->
           e.e_stamp <- next_stamp t;
@@ -202,6 +269,23 @@ let load t path =
                persist t key model;
              Ok (art, key, state)))
 
+(* [now] is sampled before the stat, so a record is trusted only when
+   the file was already quiet for the whole window when it was stat'ed.
+   Stat failures and non-regular files take the plain path, whose
+   diagnostics are the CLI's. *)
+let load t path =
+  let now = t.now () in
+  match Unix.stat path with
+  | exception Unix.Unix_error _ -> load_bytes t path ~stat:None
+  | st when st.Unix.st_kind <> Unix.S_REG -> load_bytes t path ~stat:None
+  | st -> (
+    let sg = signature_of st in
+    match locked t (fun () -> reuse t path sg) with
+    | Some hit -> Ok hit
+    | None ->
+      let trusted = now -. Float.max sg.sg_mtime sg.sg_ctime > racy_window in
+      load_bytes t path ~stat:(Some (sg, trusted)))
+
 let stats t =
   locked t (fun () ->
       {
@@ -215,14 +299,17 @@ let stats t =
         cs_evictions = t.evictions;
         cs_persisted = t.persisted;
         cs_quarantined = t.quarantined;
+        cs_key_reuses = t.key_reuses;
       })
 
-(* Degradation valve: drop every entry (the persisted snapshots stay —
-   they refill misses cheaply once pressure clears).  Dropped entries
-   count as evictions so the stats ledger stays monotonic. *)
+(* Degradation valve: drop every entry and the digest memo (the persisted
+   snapshots stay — they refill misses cheaply once pressure clears).
+   Dropped entries count as evictions so the stats ledger stays
+   monotonic. *)
 let clear t =
   locked t (fun () ->
       let n = Hashtbl.length t.table in
       Hashtbl.reset t.table;
+      Hashtbl.reset t.memo;
       t.bytes <- 0;
       t.evictions <- t.evictions + n)

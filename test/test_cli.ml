@@ -326,6 +326,64 @@ let serve_tests =
         let code, lines = run_serve [ {|{"op":"stats"}|} ] in
         check Alcotest.int "daemon exit" 0 code;
         check Alcotest.int "one response" 1 (List.length lines));
+    tc "a same-size, mtime-restored rewrite is answered fresh" (fun () ->
+        let out = Filename.concat tmp "socuml_cli_memo" in
+        let code =
+          Sys.command
+            (Printf.sprintf "%s demo --out %s >/dev/null 2>&1"
+               (Filename.quote exe) (Filename.quote out))
+        in
+        check Alcotest.int "demo exit" 0 code;
+        let model = Filename.concat out "demo_soc.xmi" in
+        let ic, oc = Unix.open_process_args exe [| exe; "serve" |] in
+        let simulate () =
+          Printf.fprintf oc
+            {|{"op":"simulate","model":%S,"rtl":true,"events":"toggle"}|}
+            model;
+          output_char oc '\n';
+          flush oc;
+          match Serve.Json.parse (input_line ic) with
+          | Ok v -> v
+          | Error e -> Alcotest.failf "bad response: %s" e
+        in
+        let field key v =
+          match Serve.Json.member key v with
+          | Some (Serve.Json.Str s) -> s
+          | Some (Serve.Json.Int n) -> string_of_int n
+          | Some _ | None -> Alcotest.failf "response lacks %s" key
+        in
+        let first = simulate () in
+        (* rename the initial state in place, keeping size and mtime *)
+        let st = Unix.stat model in
+        let before = read_file model in
+        let marker = {|name="Off"|} in
+        let rec find i =
+          if String.sub before i (String.length marker) = marker then i
+          else find (i + 1)
+        in
+        let after = Bytes.of_string before in
+        Bytes.blit_string {|name="Ofx"|} 0 after (find 0) (String.length marker);
+        ignore (write_file model (Bytes.to_string after));
+        Unix.utimes model st.Unix.st_atime st.Unix.st_mtime;
+        let second = simulate () in
+        close_out oc;
+        check Alcotest.bool "daemon exit" true
+          (Unix.close_process (ic, oc) = Unix.WEXITED 0);
+        let stdout_file = Filename.concat tmp "socuml_cli_memo.out" in
+        let err_file = Filename.concat tmp "socuml_cli_memo.err" in
+        let code =
+          Sys.command
+            (Printf.sprintf "%s simulate --rtl --events toggle %s >%s 2>%s"
+               (Filename.quote exe) (Filename.quote model)
+               (Filename.quote stdout_file) (Filename.quote err_file))
+        in
+        check Alcotest.bool "the edit shows" true
+          (field "output" first <> field "output" second);
+        check Alcotest.string "exit" (string_of_int code) (field "exit" second);
+        check Alcotest.string "stdout" (read_file stdout_file)
+          (field "output" second);
+        check Alcotest.string "stderr" (read_file err_file)
+          (field "error" second));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -200,6 +200,46 @@ let sc_tests =
         let m = Model.create "m" in
         Model.add m (Model.E_state_machine (Smachine.make "M" [ region ]));
         check Alcotest.bool "SC-02" true (has_code "SC-02" (lint m)));
+    tc "junction cycle with an exit is not SC-02, for any id spelling"
+      (fun () ->
+        (* X -> Y, Y -> X, Y -> S: both junctions stabilize via S.  The
+           20x20 grid of id spellings covers both Hashtbl.fold visit
+           orders of the pass. *)
+        let sc02 xid yid =
+          let s = Smachine.simple_state ~id:"s" "S" in
+          let x = Smachine.pseudostate ~id:xid ~name:"X" Smachine.Junction in
+          let y = Smachine.pseudostate ~id:yid ~name:"Y" Smachine.Junction in
+          let init = Smachine.pseudostate ~id:"init" Smachine.Initial in
+          let r =
+            Smachine.region ~id:"r0"
+              [
+                Smachine.State s; Smachine.Pseudo x; Smachine.Pseudo y;
+                Smachine.Pseudo init;
+              ]
+              [
+                Smachine.transition ~id:"t0" ~source:"init" ~target:xid ();
+                Smachine.transition ~id:"t1" ~source:xid ~target:yid ();
+                Smachine.transition ~id:"t2" ~source:yid ~target:xid ();
+                Smachine.transition ~id:"t3" ~source:yid ~target:"s" ();
+              ]
+          in
+          let m = Model.create "test" in
+          Model.add m (Model.E_state_machine (Smachine.make ~id:"sm" "M" [ r ]));
+          List.filter_map
+            (fun d ->
+              if d.Wfr.diag_rule = "SC-02" then Some (Wfr.to_string d)
+              else None)
+            (Lint.Sc_pass.check m)
+        in
+        for i = 0 to 19 do
+          for j = 0 to 19 do
+            let xid = Printf.sprintf "x%d" i and yid = Printf.sprintf "y%d" j in
+            check
+              Alcotest.(list string)
+              (Printf.sprintf "ids (%s,%s)" xid yid)
+              [] (sc02 xid yid)
+          done
+        done);
     tc "overlapping transitions are SC-03" (fun () ->
         let a = Smachine.simple_state "A" in
         let b = Smachine.simple_state "B" in

@@ -164,6 +164,27 @@ let load_state cache path =
   | Ok (_art, _key, state) -> Serve.Cache.state_name state
   | Error msg -> Alcotest.failf "load %s: %s" path msg
 
+(* The digest memo.  A test clock running [ahead] of the wall clock
+   stands in for the file having been quiet for the racy window, so
+   records are trusted without sleeping. *)
+let ahead = 10.0
+let future_clock () = Unix.gettimeofday () +. ahead
+let key_reuses c = (Serve.Cache.stats c).Serve.Cache.cs_key_reuses
+let digest_of path = Digest.to_hex (Digest.string (read_file path))
+
+let load_key cache path =
+  match Serve.Cache.load cache path with
+  | Ok (_art, key, _state) -> key
+  | Error msg -> Alcotest.failf "load %s: %s" path msg
+
+(* Two same-size model texts (names of equal length). *)
+let model_text name = Xmi.Write.to_string (Uml.Model.create name)
+
+(* A whole-second mtime in the past, so a restore is exact. *)
+let old_mtime = 1_600_000_000.
+
+let set_mtime path t = Unix.utimes path t t
+
 let cache_tests =
   [
     tc "second load of the same bytes is a hit" (fun () ->
@@ -283,7 +304,218 @@ let cache_tests =
         match Serve.Cache.create ~max_bytes:0 () with
         | _c -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ -> ());
+    tc "memo: an unchanged file reuses its key" (fun () ->
+        let p = tiny_model "memo_a" (Filename.concat tmp "serve_memo_a.xmi") in
+        let c = Serve.Cache.create ~now:future_clock () in
+        let k1 = load_key c p in
+        check Alcotest.int "cold load reads" 0 (key_reuses c);
+        check Alcotest.string "warm" "hit" (load_state c p);
+        check Alcotest.string "warm again" "hit" (load_state c p);
+        check Alcotest.int "both warm hits skip read and digest" 2
+          (key_reuses c);
+        check Alcotest.string "same key" k1 (load_key c p);
+        check Alcotest.string "key is the content digest" (digest_of p) k1);
+    tc "memo: inside the racy window every lookup re-hashes" (fun () ->
+        let p = tiny_model "memo_b" (Filename.concat tmp "serve_memo_b.xmi") in
+        let clock = ref (Unix.gettimeofday ()) in
+        let c = Serve.Cache.create ~now:(fun () -> !clock) () in
+        let k1 = load_key c p in
+        check Alcotest.string "unchanged file still hits" "hit"
+          (load_state c p);
+        check Alcotest.int "but was read and hashed" 0 (key_reuses c);
+        (* a same-size rewrite with the mtime restored, inside the window *)
+        let st = Unix.stat p in
+        let edited = model_text "memo_B" in
+        check Alcotest.int "same size" st.Unix.st_size (String.length edited);
+        ignore (write_file p edited);
+        set_mtime p st.Unix.st_mtime;
+        let k2 = load_key c p in
+        check Alcotest.bool "new key" true (k1 <> k2);
+        check Alcotest.string "key of the new bytes" (digest_of p) k2;
+        (* re-recorded on every re-hash: trusted once quiet for the window *)
+        clock := Unix.gettimeofday () +. ahead;
+        check Alcotest.string "re-hash under the later clock" "hit"
+          (load_state c p);
+        check Alcotest.int "not yet reused" 0 (key_reuses c);
+        check Alcotest.string "now trusted" "hit" (load_state c p);
+        check Alcotest.int "reused" 1 (key_reuses c));
+    tc "memo: an mtime-restored rewrite of a trusted file changes the key"
+      (fun () ->
+        let p = Filename.concat tmp "serve_memo_c.xmi" in
+        ignore (write_file p (model_text "memo_c"));
+        set_mtime p old_mtime;
+        let c = Serve.Cache.create ~now:future_clock () in
+        let k1 = load_key c p in
+        ignore (load_key c p);
+        check Alcotest.int "record trusted" 1 (key_reuses c);
+        let before = Unix.stat p in
+        ignore (write_file p (model_text "memo_C"));
+        set_mtime p old_mtime;
+        let after = Unix.stat p in
+        (* only ctime tells the two versions apart *)
+        check Alcotest.bool "same inode, size and mtime" true
+          (before.Unix.st_ino = after.Unix.st_ino
+          && before.Unix.st_size = after.Unix.st_size
+          && before.Unix.st_mtime = after.Unix.st_mtime);
+        let k2 = load_key c p in
+        check Alcotest.bool "new key" true (k1 <> k2);
+        check Alcotest.string "key of the new bytes" (digest_of p) k2;
+        check Alcotest.int "no reuse" 1 (key_reuses c));
+    tc "memo: replacing a trusted file by rename changes the key" (fun () ->
+        let p = Filename.concat tmp "serve_memo_d.xmi" in
+        ignore (write_file p (model_text "memo_d"));
+        set_mtime p old_mtime;
+        let c = Serve.Cache.create ~now:future_clock () in
+        let k1 = load_key c p in
+        ignore (load_key c p);
+        check Alcotest.int "record trusted" 1 (key_reuses c);
+        let before = Unix.stat p in
+        let side = write_file (p ^ ".new") (model_text "memo_D") in
+        set_mtime side old_mtime;
+        Sys.rename side p;
+        check Alcotest.bool "new inode" true
+          (before.Unix.st_ino <> (Unix.stat p).Unix.st_ino);
+        let k2 = load_key c p in
+        check Alcotest.bool "new key" true (k1 <> k2);
+        check Alcotest.string "key of the new bytes" (digest_of p) k2;
+        check Alcotest.int "no reuse" 1 (key_reuses c));
+    tc "memo: an unreadable trusted file answers the read error" (fun () ->
+        let p = tiny_model "memo_e" (Filename.concat tmp "serve_memo_e.xmi") in
+        let c = Serve.Cache.create ~now:future_clock () in
+        ignore (load_key c p);
+        ignore (load_key c p);
+        check Alcotest.int "record trusted" 1 (key_reuses c);
+        Unix.chmod p 0o000;
+        let expected = Serve.Load.read_bytes p in
+        let got = Serve.Cache.load c p in
+        Unix.chmod p 0o644;
+        (* root reads through mode 000; everyone else gets the CLI's
+           read error *)
+        match expected, got with
+        | Error want, Error msg -> check Alcotest.string "read error" want msg
+        | Ok bytes, Ok (_art, key, _state) ->
+          check Alcotest.string "key of the bytes"
+            (Digest.to_hex (Digest.string bytes)) key
+        | Error want, Ok _ -> Alcotest.failf "expected %S, got a hit" want
+        | Ok _, Error msg -> Alcotest.failf "unexpected error %S" msg);
+    tc "memo: a record whose key was evicted decodes again" (fun () ->
+        let a = tiny_model "memo_f1" (Filename.concat tmp "serve_memo_f1.xmi") in
+        let b = tiny_model "memo_f2" (Filename.concat tmp "serve_memo_f2.xmi") in
+        let c = Serve.Cache.create ~max_entries:1 ~now:future_clock () in
+        check Alcotest.string "a cold" "miss" (load_state c a);
+        check Alcotest.string "b evicts a" "miss" (load_state c b);
+        check Alcotest.string "a decoded again" "miss" (load_state c a);
+        check Alcotest.int "no reuse" 0 (key_reuses c));
+    tc "memo: clear drops the memo with the entries" (fun () ->
+        let p = tiny_model "memo_g" (Filename.concat tmp "serve_memo_g.xmi") in
+        let c = Serve.Cache.create ~now:future_clock () in
+        ignore (load_key c p);
+        ignore (load_key c p);
+        check Alcotest.int "trusted" 1 (key_reuses c);
+        Serve.Cache.clear c;
+        check Alcotest.string "cold after clear" "miss" (load_state c p);
+        check Alcotest.int "read, not reused" 1 (key_reuses c);
+        check Alcotest.string "warm again" "hit" (load_state c p);
+        check Alcotest.int "reused again" 2 (key_reuses c));
   ]
+
+(* Random edit histories against the simple oracle: whatever the memo
+   remembers, every key a load returns is the digest of the bytes on
+   disk at that moment.  Two paths share a one-entry cache, so evicted
+   keys are exercised too; [Jump] moves the clock past the racy window,
+   after which re-recorded files are trusted. *)
+type memo_op =
+  | Rewrite of int * char  (** in place, same size *)
+  | Resize of int * char  (** in place, other size *)
+  | Restore of int  (** mtime back to [old_mtime] *)
+  | Touch of int  (** mtime to now *)
+  | Rename_over of int * char  (** new inode, same size, mtime restored *)
+  | Load of int
+  | Jump
+
+let show_memo_op op =
+  match op with
+  | Rewrite (i, ch) -> Printf.sprintf "rewrite %d %c" i ch
+  | Resize (i, ch) -> Printf.sprintf "resize %d %c" i ch
+  | Restore i -> Printf.sprintf "restore %d" i
+  | Touch i -> Printf.sprintf "touch %d" i
+  | Rename_over (i, ch) -> Printf.sprintf "rename-over %d %c" i ch
+  | Load i -> Printf.sprintf "load %d" i
+  | Jump -> "jump"
+
+let gen_memo_op =
+  let open QCheck.Gen in
+  let file = int_bound 1 and ch = char_range 'a' 'z' in
+  frequency
+    [
+      (3, map2 (fun i c -> Rewrite (i, c)) file ch);
+      (1, map2 (fun i c -> Resize (i, c)) file ch);
+      (2, map (fun i -> Restore i) file);
+      (1, map (fun i -> Touch i) file);
+      (1, map2 (fun i c -> Rename_over (i, c)) file ch);
+      (5, map (fun i -> Load i) file);
+      (1, return Jump);
+    ]
+
+let qcheck_memo_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100
+       ~name:"memo: every key is the digest of the bytes on disk"
+       (QCheck.make
+          ~print:(fun ops -> String.concat "; " (List.map show_memo_op ops))
+          QCheck.Gen.(list_size (int_range 1 40) gen_memo_op))
+       (fun ops ->
+         let paths =
+           Array.init 2 (fun i ->
+               Filename.concat tmp (Printf.sprintf "serve_memo_q%d.xmi" i))
+         in
+         (* the name's length sets the file's size *)
+         let names = Array.make 2 "qaaa" in
+         let text i = model_text (Printf.sprintf "%s%d" names.(i) i) in
+         Array.iteri
+           (fun i p ->
+             ignore (write_file p (text i));
+             set_mtime p old_mtime)
+           paths;
+         let offset = ref 0. in
+         let c =
+           Serve.Cache.create ~max_entries:1
+             ~now:(fun () -> Unix.gettimeofday () +. !offset)
+             ()
+         in
+         let rename name ch = String.make (String.length name) ch in
+         List.for_all
+           (fun op ->
+             match op with
+             | Rewrite (i, ch) ->
+               names.(i) <- rename names.(i) ch;
+               ignore (write_file paths.(i) (text i));
+               true
+             | Resize (i, ch) ->
+               names.(i) <-
+                 String.make (if String.length names.(i) = 4 then 5 else 4) ch;
+               ignore (write_file paths.(i) (text i));
+               true
+             | Restore i ->
+               set_mtime paths.(i) old_mtime;
+               true
+             | Touch i ->
+               Unix.utimes paths.(i) 0. 0.;
+               true
+             | Rename_over (i, ch) ->
+               names.(i) <- rename names.(i) ch;
+               let side = write_file (paths.(i) ^ ".new") (text i) in
+               set_mtime side old_mtime;
+               Sys.rename side paths.(i);
+               true
+             | Load i -> (
+               match Serve.Cache.load c paths.(i) with
+               | Ok (_art, key, _state) -> key = digest_of paths.(i)
+               | Error _msg -> false)
+             | Jump ->
+               offset := !offset +. ahead;
+               true)
+           ops))
 
 (* ------------------------------------------------------------------ *)
 (* Daemon protocol                                                    *)
@@ -856,7 +1088,7 @@ let () =
   Alcotest.run "serve"
     [
       ("json", json_tests);
-      ("cache", cache_tests);
+      ("cache", cache_tests @ [ qcheck_memo_oracle ]);
       ("daemon", daemon_tests);
       ("differential", differential_tests);
       ("metrics", metrics_tests);
