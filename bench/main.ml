@@ -1518,6 +1518,115 @@ let e20_tests () =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* E22: validate phases as the model grows                             *)
+
+(* The E19 structural shape, bare or carrying both profiles: every
+   class is a «swTask» or a «capsule», every attribute a «register»,
+   every operation «periodic», every component a «hwModule» (every
+   third also a «bus») with its one port a «clock».  Some tag values
+   are out of range, so the profile rules fire as well as run. *)
+let e22_model ~stereotyped classes =
+  Uml.Ident.reset_counter ();
+  let m = Workload.Gen_model.structural ~seed:3 ~classes in
+  (if stereotyped then
+     let soc = Profiles.Soc_profile.install m in
+     let rt = Profiles.Rt_profile.install m in
+     let soc_apply = Profiles.Soc_profile.apply m ~profile:soc in
+     let rt_apply = Profiles.Rt_profile.apply m ~profile:rt in
+     let int = Uml.Vspec.of_int in
+     List.iteri
+       (fun i (cl : Uml.Classifier.t) ->
+         if cl.Uml.Classifier.cl_kind = Uml.Classifier.Class then begin
+           if i mod 2 = 0 then
+             soc_apply ~stereotype:"swTask" cl.Uml.Classifier.cl_id
+           else rt_apply ~stereotype:"capsule" cl.Uml.Classifier.cl_id;
+           List.iteri
+             (fun j (p : Uml.Classifier.property) ->
+               soc_apply ~stereotype:"register"
+                 ~values:[ ("address", int (if i mod 5 = 0 then 0 else j)) ]
+                 p.Uml.Classifier.prop_id)
+             cl.Uml.Classifier.cl_attributes;
+           List.iter
+             (fun (o : Uml.Classifier.operation) ->
+               rt_apply ~stereotype:"periodic"
+                 ~values:
+                   [ ("period", int 10);
+                     ("deadline", int (if i mod 7 = 0 then 20 else 5)) ]
+                 o.Uml.Classifier.op_id)
+             cl.Uml.Classifier.cl_operations
+         end)
+       (Uml.Model.classifiers m);
+     List.iteri
+       (fun i (c : Uml.Component.t) ->
+         soc_apply ~stereotype:"hwModule" c.Uml.Component.cmp_id;
+         if i mod 3 = 0 then
+           soc_apply ~stereotype:"bus" ~values:[ ("dataWidth", int 0) ]
+             c.Uml.Component.cmp_id;
+         List.iter
+           (fun (p : Uml.Component.port) ->
+             soc_apply ~stereotype:"clock" p.Uml.Component.port_id)
+           c.Uml.Component.cmp_ports)
+       (Uml.Model.components m));
+  m
+
+let e22_phases =
+  [
+    ("wfr", fun m -> List.length (Uml.Wfr.check m));
+    ("soc", fun m -> List.length (Profiles.Soc_profile.check m));
+    ("rt", fun m -> List.length (Profiles.Rt_profile.check m));
+  ]
+
+let e22_report () =
+  sep "E22  validate phases (Uml.Wfr, SoC, RT checks) vs model size";
+  List.iter
+    (fun stereotyped ->
+      let shape = if stereotyped then "stereotyped" else "bare" in
+      let ms =
+        List.map
+          (fun classes ->
+            let m = e22_model ~stereotyped classes in
+            let times =
+              List.map
+                (fun (phase, run) ->
+                  let diags = run m in
+                  let t = e18_time (fun () -> run m) in
+                  let key fmt = Printf.sprintf fmt phase shape classes in
+                  record_f (key "e22.%s_ms.%s.classes%04d") (1e3 *. t);
+                  record_i (key "e22.%s_diags.%s.classes%04d") diags;
+                  (phase, t))
+                e22_phases
+            in
+            Printf.printf
+              "%-11s %4d classes (%5d applications): wfr %8.3f ms, soc \
+               %8.3f ms, rt %8.3f ms\n"
+              shape classes
+              (List.length (Uml.Model.applications m))
+              (1e3 *. List.assoc "wfr" times)
+              (1e3 *. List.assoc "soc" times)
+              (1e3 *. List.assoc "rt" times);
+            (classes, times))
+          [ 250; 1000; 4000 ]
+      in
+      List.iter
+        (fun (phase, _) ->
+          let at classes = List.assoc phase (List.assoc classes ms) in
+          let ratio = at 4000 /. at 1000 in
+          Printf.printf "%-11s %s growth 4000/1000 classes: %5.1fx\n" shape
+            phase ratio;
+          record_f (Printf.sprintf "e22.growth_4000_1000.%s.%s" phase shape)
+            ratio)
+        e22_phases)
+    [ false; true ]
+
+let e22_tests () =
+  let m = e22_model ~stereotyped:true 250 in
+  List.map
+    (fun (phase, run) ->
+      Bechamel.Test.make ~name:("e22/" ^ phase ^ "-stereotyped-250")
+        (Bechamel.Staged.stage (fun () -> ignore (run m))))
+    e22_phases
+
+(* ------------------------------------------------------------------ *)
 (* Bechamel driver                                                     *)
 
 let run_bechamel tests =
@@ -1574,13 +1683,14 @@ let () =
   e18_report ();
   e19_report ();
   e20_report ();
+  e22_report ();
   if not quick then begin
     let tests =
       e1_tests () @ e2_tests () @ e2_xuml_test () @ e3_tests () @ e4_tests ()
       @ e5_tests () @ e6_tests () @ e7_tests () @ e8_tests () @ e9_tests ()
       @ e10_tests () @ e11_tests () @ e12_tests () @ e13_tests ()
       @ e14_tests () @ e15_tests () @ e16_tests () @ e17_tests ()
-      @ e18_tests () @ e19_tests () @ e20_tests ()
+      @ e18_tests () @ e19_tests () @ e20_tests () @ e22_tests ()
     in
     run_bechamel tests
   end;

@@ -184,23 +184,37 @@ let applications m = List.rev m.apps
 let applications_of m id =
   List.filter (fun a -> Ident.equal a.Profile.app_element id) (applications m)
 
-let stereotype_named m n =
-  let in_profile p =
-    match Profile.find_stereotype p n with
-    | Some s -> Some (p, s)
-    | None -> None
-  in
-  List.find_map in_profile (profiles m)
+let stereotypes_by key m =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun s ->
+          let k = key s in
+          if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k s)
+        p.Profile.prof_stereotypes)
+    (profiles m);
+  tbl
 
-let has_stereotype m elt n =
-  match stereotype_named m n with
-  | None -> false
-  | Some (_, ster) ->
-    List.exists
-      (fun a ->
-        Ident.equal a.Profile.app_element elt
-        && Ident.equal a.Profile.app_stereotype ster.Profile.ster_id)
-      m.apps
+let stereotype_lookup m =
+  (* Replacing while walking the reversed application list leaves the
+     earliest application of each (element, stereotype) pair. *)
+  let by_name = stereotypes_by (fun s -> s.Profile.ster_name) m in
+  let by_target = Hashtbl.create (max 16 (List.length m.apps)) in
+  List.iter
+    (fun a ->
+      Hashtbl.replace by_target
+        (a.Profile.app_element, a.Profile.app_stereotype) a)
+    m.apps;
+  fun elt n ->
+    match Hashtbl.find_opt by_name n with
+    | None -> None
+    | Some ster -> (
+      match Hashtbl.find_opt by_target (elt, ster.Profile.ster_id) with
+      | Some app -> Some (ster, app)
+      | None -> None)
+
+let has_stereotype m elt n = Option.is_some (stereotype_lookup m elt n)
 
 let add_diagram m d = m.diags <- d :: m.diags
 let diagrams m = List.rev m.diags

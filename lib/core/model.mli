@@ -82,11 +82,35 @@ val applications : t -> Profile.application list
 val applications_of : t -> Ident.t -> Profile.application list
 (** Stereotype applications attached to the given element. *)
 
+val stereotypes_by :
+  (Profile.stereotype -> 'k) -> t -> ('k, Profile.stereotype) Hashtbl.t
+(** [stereotypes_by key m] indexes every stereotype of every profile in
+    [m] by [key].  Where keys collide, the first profile in element
+    order wins, and within it the first stereotype. *)
+
+val stereotype_lookup :
+  t -> Ident.t -> string -> (Profile.stereotype * Profile.application) option
+(** [stereotype_lookup m] resolves stereotypes by name on elements of
+    [m]: [stereotype_lookup m elt name] is the stereotype called [name]
+    together with its application on [elt], or [None] when no profile
+    defines [name] or the element does not carry it.
+
+    Resolution rules: a name resolves as in {!stereotypes_by} (the
+    first profile, in element order, that defines it, and within that
+    profile its first stereotype of that name); of several applications
+    of that stereotype (by identifier) on one element, the earliest in
+    {!applications} order wins.
+
+    The partial application [stereotype_lookup m] indexes the profiles
+    and applications once (O(model)); the returned closure answers each
+    lookup in O(1).  It is a snapshot: elements and applications added
+    to [m] afterwards are not seen.  Build it once per pass. *)
+
 val has_stereotype : t -> Ident.t -> string -> bool
 (** [has_stereotype m elt name]: is a stereotype called [name] (from any
-    applied profile) applied to element [elt]? *)
-
-val stereotype_named : t -> string -> (Profile.t * Profile.stereotype) option
+    applied profile) applied to element [elt]?  Same resolution as
+    {!stereotype_lookup}.  Each call indexes the whole model, so a loop
+    over elements should build [stereotype_lookup m] once instead. *)
 
 val add_diagram : t -> Diagram.t -> unit
 val diagrams : t -> Diagram.t list

@@ -79,6 +79,11 @@ let tag_value ster app name =
     | Some t -> t.tag_default
     | None -> None)
 
+let int_tag_value ster app name =
+  match tag_value ster app name with
+  | Some (Vspec.Int_literal i) -> Some i
+  | Some _ | None -> None
+
 let metaclass_name = function
   | M_class -> "Class"
   | M_interface -> "Interface"

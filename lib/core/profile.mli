@@ -72,4 +72,7 @@ val tag_value : stereotype -> application -> string -> Vspec.t option
 (** Value of a tag on an application, falling back to the tag's declared
     default. *)
 
+val int_tag_value : stereotype -> application -> string -> int option
+(** {!tag_value} when it is an integer literal, [None] otherwise. *)
+
 val metaclass_name : metaclass -> string

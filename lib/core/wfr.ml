@@ -609,24 +609,14 @@ let metaclass_of_element = function
   | Model.E_communication_path _ | Model.E_profile _ ->
     Profile.M_any
 
-let check_application m features acc (app : Profile.application) =
-  let stereotypes =
-    List.concat_map
-      (fun p -> List.map (fun s -> (p, s)) p.Profile.prof_stereotypes)
-      (Model.profiles m)
-  in
-  let found =
-    List.find_opt
-      (fun (_, s) -> Ident.equal s.Profile.ster_id app.Profile.app_stereotype)
-      stereotypes
-  in
-  match found with
+let check_application m stereotypes features acc (app : Profile.application) =
+  match Hashtbl.find_opt stereotypes app.Profile.app_stereotype with
   | None ->
     error "PR-01" (Some app.Profile.app_element)
       "application references unknown stereotype %s"
       app.Profile.app_stereotype
     :: acc
-  | Some (_, ster) -> (
+  | Some ster -> (
     let acc =
       (* declared tags only *)
       List.fold_left
@@ -739,7 +729,11 @@ let check m =
   let acc = Model.fold per_element acc m in
   let features = Model.feature_index m in
   let acc =
-    List.fold_left (check_application m features) acc (Model.applications m)
+    List.fold_left
+      (check_application m
+         (Model.stereotypes_by (fun s -> s.Profile.ster_id) m)
+         features)
+      acc (Model.applications m)
   in
   let acc = List.fold_left (check_diagram m) acc (Model.diagrams m) in
   List.rev acc

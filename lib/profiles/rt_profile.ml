@@ -47,28 +47,11 @@ let diag rule element message =
     diag_message = message;
   }
 
-let int_value m ster_name element tagname =
-  match Model.stereotype_named m ster_name with
-  | None -> None
-  | Some (_, ster) -> (
-    let app =
-      List.find_opt
-        (fun a ->
-          Ident.equal a.Profile.app_element element
-          && Ident.equal a.Profile.app_stereotype ster.Profile.ster_id)
-        (Model.applications m)
-    in
-    match app with
-    | None -> None
-    | Some app -> (
-      match Profile.tag_value ster app tagname with
-      | Some (Vspec.Int_literal i) -> Some i
-      | Some _ | None -> None))
-
 let check m =
+  let lookup = Model.stereotype_lookup m in
   let check_capsule acc (cl : Classifier.t) =
     if
-      Model.has_stereotype m cl.Classifier.cl_id "capsule"
+      Option.is_some (lookup cl.Classifier.cl_id "capsule")
       && not cl.Classifier.cl_is_active
     then
       diag "RT-01" cl.Classifier.cl_id
@@ -80,12 +63,11 @@ let check m =
   let check_periodic acc (cl : Classifier.t) =
     List.fold_left
       (fun acc (op : Classifier.operation) ->
-        if not (Model.has_stereotype m op.Classifier.op_id "periodic") then acc
-        else
-          let period = int_value m "periodic" op.Classifier.op_id "period" in
-          let deadline =
-            int_value m "periodic" op.Classifier.op_id "deadline"
-          in
+        match lookup op.Classifier.op_id "periodic" with
+        | None -> acc
+        | Some (ster, app) ->
+          let period = Profile.int_tag_value ster app "period" in
+          let deadline = Profile.int_tag_value ster app "deadline" in
           let acc =
             match period with
             | Some p when p <= 0 ->

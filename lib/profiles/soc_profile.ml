@@ -89,35 +89,28 @@ let apply m ~profile:p ~stereotype ?(values = []) element =
 let hw_stereotypes = [ "hwModule"; "ip"; "bus"; "memory" ]
 
 let hw_modules m =
+  let lookup = Model.stereotype_lookup m in
   List.filter
     (fun c ->
       List.exists
-        (fun name -> Model.has_stereotype m c.Component.cmp_id name)
+        (fun name -> Option.is_some (lookup c.Component.cmp_id name))
         hw_stereotypes)
     (Model.components m)
 
 let sw_tasks m =
+  let lookup = Model.stereotype_lookup m in
   List.filter
-    (fun c -> Model.has_stereotype m c.Classifier.cl_id "swTask")
+    (fun c -> Option.is_some (lookup c.Classifier.cl_id "swTask"))
     (Model.classifiers m)
 
+(* The integer value of [tagname] on [element]'s [stereotype]
+   application, through a lookup built once per pass. *)
+let int_tag lookup element stereotype tagname =
+  Option.bind (lookup element stereotype) (fun (ster, app) ->
+      Profile.int_tag_value ster app tagname)
+
 let tag_int m ~element ~stereotype tagname =
-  match Model.stereotype_named m stereotype with
-  | None -> None
-  | Some (_, ster) -> (
-    let app =
-      List.find_opt
-        (fun a ->
-          Ident.equal a.Profile.app_element element
-          && Ident.equal a.Profile.app_stereotype ster.Profile.ster_id)
-        (Model.applications m)
-    in
-    match app with
-    | None -> None
-    | Some app -> (
-      match Profile.tag_value ster app tagname with
-      | Some (Vspec.Int_literal i) -> Some i
-      | Some _ | None -> None))
+  int_tag (Model.stereotype_lookup m) element stereotype tagname
 
 (* --- profile-specific WFRs ------------------------------------------ *)
 
@@ -130,18 +123,19 @@ let diag rule element message =
   }
 
 let check m =
-  let port_has m port_id name = Model.has_stereotype m port_id name in
+  let lookup = Model.stereotype_lookup m in
+  let has id name = Option.is_some (lookup id name) in
   let check_hw_module acc (c : Component.t) =
-    if not (Model.has_stereotype m c.Component.cmp_id "hwModule") then acc
+    if not (has c.Component.cmp_id "hwModule") then acc
     else begin
       let clocks =
         List.filter
-          (fun p -> port_has m p.Component.port_id "clock")
+          (fun p -> has p.Component.port_id "clock")
           c.Component.cmp_ports
       in
       let resets =
         List.filter
-          (fun p -> port_has m p.Component.port_id "reset")
+          (fun p -> has p.Component.port_id "reset")
           c.Component.cmp_ports
       in
       let acc =
@@ -163,32 +157,22 @@ let check m =
   let check_hw_ports acc (c : Component.t) =
     List.fold_left
       (fun acc (p : Component.port) ->
-        if not (port_has m p.Component.port_id "hwPort") then acc
-        else
-          match
-            tag_int m ~element:p.Component.port_id ~stereotype:"hwPort"
-              "width"
-          with
-          | Some w when w <= 0 ->
-            diag "SOC-03" p.Component.port_id
-              (Printf.sprintf "«hwPort» %s has non-positive width %d"
-                 p.Component.port_name w)
-            :: acc
-          | Some _ | None -> acc)
+        match int_tag lookup p.Component.port_id "hwPort" "width" with
+        | Some w when w <= 0 ->
+          diag "SOC-03" p.Component.port_id
+            (Printf.sprintf "«hwPort» %s has non-positive width %d"
+               p.Component.port_name w)
+          :: acc
+        | Some _ | None -> acc)
       acc c.Component.cmp_ports
   in
   let check_registers acc (cl : Classifier.t) =
     let addressed =
       List.filter_map
         (fun (p : Classifier.property) ->
-          if Model.has_stereotype m p.Classifier.prop_id "register" then
-            match
-              tag_int m ~element:p.Classifier.prop_id ~stereotype:"register"
-                "address"
-            with
-            | Some a -> Some (p.Classifier.prop_name, a)
-            | None -> None
-          else None)
+          Option.map
+            (fun a -> (p.Classifier.prop_name, a))
+            (int_tag lookup p.Classifier.prop_id "register" "address"))
         cl.Classifier.cl_attributes
     in
     let sorted = List.sort (fun (_, a) (_, b) -> compare a b) addressed in
@@ -209,17 +193,13 @@ let check m =
     collide acc sorted
   in
   let check_bus acc (c : Component.t) =
-    if not (Model.has_stereotype m c.Component.cmp_id "bus") then acc
-    else
-      match
-        tag_int m ~element:c.Component.cmp_id ~stereotype:"bus" "dataWidth"
-      with
-      | Some w when w <= 0 ->
-        diag "SOC-05" c.Component.cmp_id
-          (Printf.sprintf "«bus» %s has non-positive dataWidth"
-             c.Component.cmp_name)
-        :: acc
-      | Some _ | None -> acc
+    match int_tag lookup c.Component.cmp_id "bus" "dataWidth" with
+    | Some w when w <= 0 ->
+      diag "SOC-05" c.Component.cmp_id
+        (Printf.sprintf "«bus» %s has non-positive dataWidth"
+           c.Component.cmp_name)
+      :: acc
+    | Some _ | None -> acc
   in
   let acc = List.fold_left check_hw_module [] (Model.components m) in
   let acc = List.fold_left check_hw_ports acc (Model.components m) in

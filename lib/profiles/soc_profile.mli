@@ -41,7 +41,8 @@ val tag_int :
   Uml.Model.t -> element:Uml.Ident.t -> stereotype:string -> string ->
   int option
 (** Integer tag value of an application on the element, with the tag's
-    declared default as fallback. *)
+    declared default as fallback.  Resolved as {!Uml.Model.stereotype_lookup}
+    resolves, which indexes the whole model on each call. *)
 
 val check : Uml.Model.t -> Uml.Wfr.diagnostic list
 (** Profile-specific well-formedness: a [«hwModule»] component must have

@@ -61,6 +61,65 @@ let demo_snapshot =
      if code <> 0 then Alcotest.failf "pack: exit %d (stderr: %s)" code stderr;
      snap)
 
+(* A stereotyped model on disk that fires every profile rule once:
+   PR-01..04 from [Uml.Wfr], SOC-01..05 and RT-01..03. *)
+let stereotyped_model =
+  lazy
+    (let open Uml in
+     let m = Model.create "stereotyped" in
+     let soc = Profiles.Soc_profile.install m in
+     let rt = Profiles.Rt_profile.install m in
+     let soc_apply = Profiles.Soc_profile.apply m ~profile:soc in
+     let rt_apply = Profiles.Rt_profile.apply m ~profile:rt in
+     let int = Vspec.of_int in
+     let rst_a = Component.port "rst_a" and rst_b = Component.port "rst_b" in
+     let data = Component.port "d" in
+     let core = Component.make ~ports:[ rst_a; rst_b; data ] "Core" in
+     let bus = Component.make "Bus" in
+     let ctrl = Classifier.property "ctrl" Dtype.Integer in
+     let status = Classifier.property "status" Dtype.Integer in
+     let regs = Classifier.make ~attributes:[ ctrl; status ] "Regs" in
+     let tick = Classifier.operation "tick" in
+     let tock = Classifier.operation "tock" in
+     let task = Classifier.make ~operations:[ tick; tock ] "Task" in
+     List.iter (Model.add m)
+       [ Model.E_component core; Model.E_component bus;
+         Model.E_classifier regs; Model.E_classifier task ];
+     (* PR-01 *)
+     Model.add_application m
+       (Profile.apply ~stereotype:(Ident.of_string "ghost_stereotype")
+          ~element:task.Classifier.cl_id ());
+     (* PR-02 and SOC-03 *)
+     soc_apply ~stereotype:"hwPort"
+       ~values:[ ("width", int 0); ("ghost", int 1) ]
+       data.Component.port_id;
+     (* PR-03 *)
+     soc_apply ~stereotype:"clock" (Ident.of_string "ghost_element");
+     (* PR-04: «hwModule» extends Component only *)
+     soc_apply ~stereotype:"hwModule" regs.Classifier.cl_id;
+     (* SOC-01 (no clock) and SOC-02 (two resets) *)
+     soc_apply ~stereotype:"hwModule" core.Component.cmp_id;
+     soc_apply ~stereotype:"reset" rst_a.Component.port_id;
+     soc_apply ~stereotype:"reset" rst_b.Component.port_id;
+     (* SOC-04 *)
+     soc_apply ~stereotype:"register" ~values:[ ("address", int 4) ]
+       ctrl.Classifier.prop_id;
+     soc_apply ~stereotype:"register" ~values:[ ("address", int 4) ]
+       status.Classifier.prop_id;
+     (* SOC-05 *)
+     soc_apply ~stereotype:"bus" ~values:[ ("dataWidth", int 0) ]
+       bus.Component.cmp_id;
+     (* RT-01 (passive capsule), RT-02, RT-03 *)
+     rt_apply ~stereotype:"capsule" task.Classifier.cl_id;
+     rt_apply ~stereotype:"periodic" ~values:[ ("period", int 0) ]
+       tick.Classifier.op_id;
+     rt_apply ~stereotype:"periodic"
+       ~values:[ ("period", int 10); ("deadline", int 20) ]
+       tock.Classifier.op_id;
+     let path = Filename.concat tmp "socuml_serve_stereotyped.xmi" in
+     Xmi.Write.write_file m path;
+     path)
+
 (* A tiny distinct model on disk, for cache-shape tests. *)
 let tiny_model name path =
   let m = Uml.Model.create name in
@@ -799,6 +858,38 @@ let differential_tests =
             ([ "inject"; "--faults=-1"; model ],
              req {|{"op":"inject","model":%S,"faults":-1}|} model);
           ]);
+    tc "validate on a model firing every profile rule is byte-identical"
+      (fun () ->
+        let model = Lazy.force stereotyped_model in
+        let d = Serve.Daemon.create () in
+        let cases =
+          [
+            ([ "validate"; model ],
+             req {|{"op":"validate","model":%S}|} model);
+            ([ "validate"; "--format"; "json"; model ],
+             req {|{"op":"validate","model":%S,"format":"json"}|} model);
+          ]
+        in
+        (* cold, then warm *)
+        List.iter
+          (fun (args, request) -> assert_differential d ~args ~request)
+          (cases @ cases);
+        (* the order across Uml.Wfr, the SoC and the RT checks *)
+        let _, stdout, _ = run_cli [ "validate"; model ] in
+        let rules =
+          List.filter_map
+            (fun line ->
+              if String.starts_with ~prefix:"error(" line then
+                Some (String.sub line 6 (String.index line ')' - 6))
+              else None)
+            (String.split_on_char '\n' stdout)
+        in
+        check
+          (Alcotest.list Alcotest.string)
+          "rule order"
+          [ "PR-01"; "PR-02"; "PR-03"; "PR-04"; "SOC-01"; "SOC-02"; "SOC-03";
+            "SOC-04"; "SOC-05"; "RT-01"; "RT-02"; "RT-03" ]
+          rules);
     tc "pack through the daemon writes identical snapshots" (fun () ->
         let model = Lazy.force demo_model in
         let out_cli = Filename.concat tmp "serve_diff_cli.sumb" in

@@ -355,6 +355,86 @@ let misc_tests =
             go 0
           in
           contains s "XX-99" && contains s "boom"));
+    tc "PR-01 application names an unknown stereotype" (fun () ->
+        let m = Model.create "m" in
+        let c = Classifier.make ~id:(Ident.of_string "A") "A" in
+        Model.add m (Model.E_classifier c);
+        Model.add_application m
+          (Profile.apply ~stereotype:(Ident.of_string "ghost")
+             ~element:c.Classifier.cl_id ());
+        check
+          (Alcotest.list Alcotest.string)
+          "one PR-01"
+          [
+            "error(PR-01) [A]: application references unknown stereotype \
+             ghost";
+          ]
+          (List.map Wfr.to_string (Wfr.check m)));
+    tc "PR-03 stereotype applied to an unresolved element" (fun () ->
+        let m = Model.create "m" in
+        let s = Profile.stereotype "st" in
+        Model.add m (Model.E_profile (Profile.make "p" [ s ]));
+        Model.add_application m
+          (Profile.apply ~stereotype:s.Profile.ster_id
+             ~element:(Ident.of_string "ghost") ());
+        check
+          (Alcotest.list Alcotest.string)
+          "one PR-03, no element"
+          [ "error(PR-03): stereotype st applied to unresolved element ghost" ]
+          (List.map Wfr.to_string (Wfr.check m)));
+    tc "first profile wins for a duplicated stereotype name or id" (fun () ->
+        let m = Model.create "m" in
+        let level v =
+          [ Profile.tag ~default:(Vspec.of_int v) "level" Dtype.Integer ]
+        in
+        let first = Profile.stereotype ~tags:(level 1) "hot" in
+        let second = Profile.stereotype ~tags:(level 2) "hot" in
+        (* same id as [first], another name and metaclass *)
+        let twin =
+          Profile.stereotype ~id:first.Profile.ster_id
+            ~extends:[ Profile.M_component ] "twin"
+        in
+        Model.add m (Model.E_profile (Profile.make "p1" [ first ]));
+        Model.add m (Model.E_profile (Profile.make "p2" [ second; twin ]));
+        let a = Classifier.make "A" and b = Classifier.make "B" in
+        Model.add m (Model.E_classifier a);
+        Model.add m (Model.E_classifier b);
+        let apply (s : Profile.stereotype) (c : Classifier.t) =
+          Model.add_application m
+            (Profile.apply ~stereotype:s.Profile.ster_id
+               ~element:c.Classifier.cl_id ())
+        in
+        apply second a;
+        apply first b;
+        check Alcotest.bool "second profile's hot is not «hot»" false
+          (Model.has_stereotype m a.Classifier.cl_id "hot");
+        check Alcotest.bool "first profile's hot is «hot»" true
+          (Model.has_stereotype m b.Classifier.cl_id "hot");
+        (match Model.stereotype_lookup m b.Classifier.cl_id "hot" with
+         | Some (s, app) ->
+           check (Alcotest.option Alcotest.int) "first profile's default"
+             (Some 1) (Profile.int_tag_value s app "level")
+         | None -> Alcotest.fail "B carries no «hot»");
+        (* the id resolves to [first] (extends any), so no PR-04 *)
+        check Alcotest.bool "no PR diagnostics" true (Wfr.is_valid m));
+    tc "earliest application's tag value wins" (fun () ->
+        let m = Model.create "m" in
+        let soc = Profiles.Soc_profile.install m in
+        let c = Component.make "Bus" in
+        Model.add m (Model.E_component c);
+        let apply w =
+          Profiles.Soc_profile.apply m ~profile:soc ~stereotype:"bus"
+            ~values:[ ("dataWidth", Vspec.of_int w) ]
+            c.Component.cmp_id
+        in
+        apply 0;
+        apply 64;
+        check (Alcotest.option Alcotest.int) "earliest" (Some 0)
+          (Profiles.Soc_profile.tag_int m ~element:c.Component.cmp_id
+             ~stereotype:"bus" "dataWidth");
+        check (Alcotest.list Alcotest.string) "SOC-05 from the earliest"
+          [ "SOC-05" ]
+          (List.map (fun d -> d.Wfr.diag_rule) (Profiles.Soc_profile.check m)));
   ]
 
 (* workload-generated machines/models are always well-formed *)
