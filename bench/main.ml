@@ -1627,6 +1627,133 @@ let e22_tests () =
     e22_phases
 
 (* ------------------------------------------------------------------ *)
+(* E23: ASL execution cost — the statechart ring, xUML, one-off compile *)
+
+(* The benchmark's ASL ring: six states, four events each, every
+   transition guarded by a constant and running a 60-iteration loop, so
+   a dispatch costs the same ASL work whichever transition fires. *)
+let e23_ring_effect =
+  "i := 0; acc := 0; while i < 60 do acc := acc + i * i; if acc > 100000 \
+   then acc := acc - 100000; end; i := i + 1; end;"
+
+let e23_ring () =
+  let open Uml.Smachine in
+  let rng = Workload.Prng.create 7 in
+  let n = 6 in
+  let states = Array.init n (fun i -> simple_state (Printf.sprintf "A%d" i)) in
+  let init = pseudostate Initial in
+  let start = transition ~source:init.ps_id ~target:states.(0).st_id () in
+  let steps =
+    List.concat
+      (List.init n (fun i ->
+           List.map
+             (fun ev ->
+               let target = states.(Workload.Prng.int rng n) in
+               transition
+                 ~triggers:[ Signal_trigger ev ]
+                 ~guard:"60 > 0" ~effect:e23_ring_effect
+                 ~source:states.(i).st_id ~target:target.st_id ())
+             (Workload.Gen_statechart.event_names 4)))
+  in
+  make "Ring"
+    [ region (Pseudo init :: Array.to_list (Array.map (fun s -> State s) states))
+        (start :: steps) ]
+
+(* One engine, started, fed the whole event list; returns the
+   [asl.statements] count so the cost can be put per statement. *)
+let e23_dispatch sm events =
+  let reg = Telemetry.Metrics.create () in
+  let interp = Asl.Interp.create ~metrics:reg (Asl.Store.create ()) in
+  let engine = Statechart.Engine.create ~interp ~metrics:reg sm in
+  Statechart.Engine.start engine;
+  List.iter
+    (fun ev -> Statechart.Engine.dispatch engine (Statechart.Event.make ev))
+    events;
+  Telemetry.Metrics.counter_value
+    (Telemetry.Metrics.counter reg "asl.statements")
+
+let e23_xuml m () =
+  let sys = Xuml.System.create m in
+  let recv = Xuml.System.instantiate sys "Receiver" in
+  let send = Xuml.System.instantiate sys "Sender" in
+  ignore
+    (Asl.Store.set_attr (Xuml.System.store sys) send "peer"
+       (Asl.Value.V_obj recv));
+  Xuml.System.send sys ~to_:send "go";
+  Xuml.System.run sys
+
+(* Programs whose one-off cost (parse, then everything a first run pays
+   beyond a warm one) is reported. *)
+let e23_programs =
+  [
+    ("ring_effect", e23_ring_effect);
+    ("relay_effect", "self.i := self.i + 1; send msg() to self.peer;");
+    ( "for_sum",
+      "var t := 0; for k := 1 to 8 do t := t + k * k; end; return t;" );
+  ]
+
+let e23_report () =
+  sep "E23  ASL execution cost: ring dispatch, xUML run, one-off compile";
+  let sm = e23_ring () in
+  let events = Workload.Gen_statechart.event_sequence ~seed:3 ~length:4000 4 in
+  let stmts = e23_dispatch sm events in
+  let t_ring = e16_time (fun () -> ignore (e23_dispatch sm events)) in
+  let ns_per_stmt = 1e9 *. t_ring /. float_of_int stmts in
+  Printf.printf
+    "ring, 4000 events:  %7.2f ms  (%d asl.statements, %5.1f ns each)\n"
+    (1e3 *. t_ring) stmts ns_per_stmt;
+  record_f "e23.ring_4000_ms" (1e3 *. t_ring);
+  record_i "e23.ring_4000_statements" stmts;
+  record_f "e23.ns_per_statement" ns_per_stmt;
+  let relay = relay_model () in
+  let rounds = e23_xuml relay () in
+  let t_xuml = e18_time (e23_xuml relay) in
+  Printf.printf "xUML relay system:  %7.1f us  (%d machine events)\n"
+    (1e6 *. t_xuml) rounds;
+  record_f "e23.xuml_relay_us" (1e6 *. t_xuml);
+  record_i "e23.xuml_relay_events" rounds;
+  let interp = Asl.Interp.create (Asl.Store.create ()) in
+  List.iter
+    (fun (name, src) ->
+      let self_ =
+        Asl.Value.V_obj
+          (Asl.Store.alloc (Asl.Interp.store interp) ~class_name:"K"
+             ~attrs:[ ("i", Asl.Value.V_int 0); ("peer", Asl.Value.V_null) ])
+      in
+      let warm () = Asl.Interp.run_source ~self_ interp src in
+      let cold () =
+        Asl.Compiled.clear_memo ();
+        warm ()
+      in
+      let t_parse = e18_time (fun () -> Asl.Parser.parse_program src) in
+      let t_cold = e18_time cold in
+      let t_warm = e18_time warm in
+      ignore (Asl.Interp.drain_signals interp);
+      let one_off = t_cold -. t_warm in
+      Printf.printf
+        "%-12s  parse %6.2f us  first run %6.2f us  warm run %6.2f us  \
+         one-off %6.2f us\n"
+        name (1e6 *. t_parse) (1e6 *. t_cold) (1e6 *. t_warm)
+        (1e6 *. one_off);
+      record_f ("e23.parse_us." ^ name) (1e6 *. t_parse);
+      record_f ("e23.first_run_us." ^ name) (1e6 *. t_cold);
+      record_f ("e23.warm_run_us." ^ name) (1e6 *. t_warm);
+      record_f ("e23.one_off_us." ^ name) (1e6 *. one_off))
+    e23_programs;
+  Asl.Compiled.clear_memo ()
+
+let e23_tests () =
+  let sm = e23_ring () in
+  let events = Workload.Gen_statechart.event_sequence ~seed:3 ~length:100 4 in
+  let relay = relay_model () in
+  [
+    Bechamel.Test.make ~name:"e23/ring-100-events"
+      (Bechamel.Staged.stage (fun () -> ignore (e23_dispatch sm events)));
+    Bechamel.Test.make ~name:"e23/xuml-relay"
+      (Bechamel.Staged.stage (fun () -> ignore (e23_xuml relay ())));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Bechamel driver                                                     *)
 
 let run_bechamel tests =
@@ -1684,6 +1811,7 @@ let () =
   e19_report ();
   e20_report ();
   e22_report ();
+  e23_report ();
   if not quick then begin
     let tests =
       e1_tests () @ e2_tests () @ e2_xuml_test () @ e3_tests () @ e4_tests ()
@@ -1691,6 +1819,7 @@ let () =
       @ e10_tests () @ e11_tests () @ e12_tests () @ e13_tests ()
       @ e14_tests () @ e15_tests () @ e16_tests () @ e17_tests ()
       @ e18_tests () @ e19_tests () @ e20_tests () @ e22_tests ()
+      @ e23_tests ()
     in
     run_bechamel tests
   end;

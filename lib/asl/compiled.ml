@@ -1,11 +1,22 @@
 (* Each memo table is a bounded LRU: entries carry a last-use stamp
    from a shared logical tick, and inserting past the cap evicts the
-   least-recently-used entry.  Eviction only ever costs a re-parse on
-   the next miss — compiled values are pure functions of the source
-   text — so a long-running daemon can hold the tables at a fixed
-   size without changing any result. *)
-type guard = (Ast.expr, string) result
-type program = (Ast.program, string) result
+   least-recently-used entry.  Eviction only ever costs a re-parse (and
+   a recompile) on the next miss — compiled values are pure functions
+   of the source text — so a long-running daemon can hold the tables at
+   a fixed size without changing any result. *)
+
+(* A memo value: the parse outcome, and beside it the closure-compiled
+   form, filled in by the first run.  The cell is an [Atomic], not a
+   [Lazy.t]: two domains forcing one lazy raise [Undefined], while two
+   domains racing here both compile the same pure closures and either
+   store wins. *)
+type ('ast, 'code) compiled = {
+  ast : ('ast, string) result;
+  code : 'code option Atomic.t;
+}
+
+type guard = (Ast.expr, Closure.guard) compiled
+type program = (Ast.program, Closure.program) compiled
 
 type 'a entry = {
   e_value : 'a;
@@ -54,12 +65,15 @@ let evict_lru table =
   | None -> ()
 
 let capture parse src =
-  match parse src with
-  | ast -> Ok ast
-  | exception exn -> (
-    match Parser.error_message exn with
-    | Some m -> Error m
-    | None -> raise exn)
+  let ast =
+    match parse src with
+    | ast -> Ok ast
+    | exception exn -> (
+      match Parser.error_message exn with
+      | Some m -> Error m
+      | None -> raise exn)
+  in
+  { ast; code = Atomic.make None }
 
 let memoize table parse src =
   let found =
@@ -94,8 +108,22 @@ let memoize table parse src =
 
 let guard src = memoize guards Parser.parse_expression src
 let program src = memoize programs Parser.parse_program src
-let guard_result c = c
-let program_result c = c
+let guard_result c = c.ast
+let program_result c = c.ast
+
+let code compile c =
+  match Atomic.get c.code with
+  | Some k -> Ok k
+  | None -> (
+    match c.ast with
+    | Error m -> Error m
+    | Ok ast ->
+      let k = compile ast in
+      Atomic.set c.code (Some k);
+      Ok k)
+
+let guard_code c = code Closure.guard c
+let program_code c = code Closure.program c
 
 type stats = {
   st_guards : int;

@@ -1,11 +1,19 @@
-(** Parse-once ASL behaviors.
+(** Parse-once, compile-once ASL behaviors.
 
     The metamodel stores guards and effects as opaque source strings
     (mirroring UML's [OpaqueBehavior]); historically every evaluation
-    reparsed its string.  This module compiles a source string to its
+    reparsed its string.  This module parses a source string to its
     AST exactly once and memoizes the result in a table keyed by the
     source text, so the statechart and activity engines can dispatch
     events without ever touching the parser again.
+
+    The memo entry also holds the behavior's closure-compiled form
+    ({!Closure}).  It is compiled on the first run, not at parse time, so
+    paths that only parse (lint, info, dataflow) never pay for it.  The
+    compiled closures capture nothing mutable, so every interpreter,
+    request and domain shares them; the form is published through an
+    [Atomic] cell, so domains that race on a first run each compile the
+    same closures and no one ever waits or fails.
 
     Parse errors are captured inside the compiled value rather than
     raised here: a behavior that never runs must not fail at
@@ -19,7 +27,8 @@
     [socuml serve] daemon — can stream arbitrarily many distinct
     behaviors through the parser without unbounded growth.  Eviction
     never changes a result (compiled values are pure functions of the
-    source text); it only costs a re-parse on the next miss. *)
+    source text); it only costs a re-parse and a recompile on the next
+    miss. *)
 
 type guard
 (** A compiled boolean guard expression (or its captured parse error). *)
@@ -38,6 +47,13 @@ val guard_result : guard -> (Ast.expr, string) result
 (** The parse outcome; [Error] carries the rendered parse error. *)
 
 val program_result : program -> (Ast.program, string) result
+
+val guard_code : guard -> (Closure.guard, string) result
+(** The closure-compiled guard, compiled on the first call and stored in
+    the memo entry; [Error] carries the rendered parse error. *)
+
+val program_code : program -> (Closure.program, string) result
+(** The closure-compiled program, as {!guard_code}. *)
 
 (** Lifetime statistics of the memo tables (monotonic counters are
     process-global, never reset by eviction or {!clear_memo}). *)

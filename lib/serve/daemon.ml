@@ -414,18 +414,19 @@ let dispatch t obj members ~op =
   | "trace" ->
     let* () =
       check_fields ~op
-        ~allowed:(common @ [ "model"; "machine"; "events" ])
+        ~allowed:(common @ [ "model"; "machine"; "events" ] @ deadline_fields)
         members
     in
     let* model = req_str obj "model" in
     let* machine = opt_str obj "machine" in
     let* events = str_field obj "events" ~default:"" in
+    let* budget_spec = budget_spec_of obj in
     Ok
       (Ran
-         (run_op t ~op ~paths:[ model ] ~metrics:false ~budget_spec:B_default
-            (fun ~budget:_ sink loader _reg ->
+         (run_op t ~op ~paths:[ model ] ~metrics:false ~budget_spec
+            (fun ~budget sink loader _reg ->
               Ops.with_artifacts sink loader model
-                (Ops.trace sink ~machine ~events))))
+                (Ops.trace ~budget sink ~machine ~events))))
   | "partition" ->
     let* () =
       check_fields ~op ~allowed:(common @ [ "model"; "budget" ]) members

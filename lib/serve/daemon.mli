@@ -28,7 +28,8 @@
       and appends the fork's report to the output, then merges the fork
       back — so each response carries that request's counters only and
       identical requests report identical metrics (DESIGN.md §serve).
-    - [simulate], [analyze] and [inject] additionally take ["fuel"]
+    - [simulate], [trace], [analyze] and [inject] additionally take
+      ["fuel"]
       (non-negative checkpoint count, deterministic) or
       ["deadline_ms"] (positive wall-clock budget) — mutually
       exclusive; either overrides the server-wide [deadline_ms].
@@ -75,7 +76,7 @@ val create :
   t
 (** A daemon with a fresh {!Cache} (same defaults) and a live metrics
     registry.  [deadline_ms] (default: none) is the server-wide
-    wall-clock budget applied to [simulate]/[analyze]/[inject]
+    wall-clock budget applied to [simulate]/[trace]/[analyze]/[inject]
     requests that don't carry their own; [max_queue] (default 64)
     bounds the pending-line queue — lines past it are shed with an
     [overloaded] answer.

@@ -227,14 +227,16 @@ let choose_machine m machine =
 
 (* Run the chosen state machine on the event list; when telemetry is
    live, also run every activity of the model so one registry covers
-   the statechart, activity and ASL engines. *)
-let run_engines_exn ?(echo = false) sink reg m sm names =
+   the statechart, activity and ASL engines.  The budget is checked once
+   per event, before it is dispatched. *)
+let run_engines_exn ?(echo = false) ~budget sink reg m sm names =
   let interp = Asl.Interp.create ~metrics:reg (Asl.Store.create ()) in
   let engine = Statechart.Engine.create ~interp ~metrics:reg sm in
   Statechart.Engine.start engine;
   if echo then outf sink "start: %s\n" (Statechart.Engine.signature engine);
   List.iter
     (fun ev ->
+      Exec.Budget.check budget;
       Statechart.Engine.dispatch engine (Statechart.Event.make ev);
       if echo then
         outf sink "%s: %s\n" ev (Statechart.Engine.signature engine))
@@ -248,8 +250,8 @@ let run_engines_exn ?(echo = false) sink reg m sm names =
 
 (* Model-level failures (bad ASL in a guard or effect, broken topology)
    are user errors, not crashes: print the diagnostic, exit nonzero. *)
-let run_engines ?echo sink reg m sm names =
-  match run_engines_exn ?echo sink reg m sm names with
+let run_engines ?echo ~budget sink reg m sm names =
+  match run_engines_exn ?echo ~budget sink reg m sm names with
   | () -> true
   | exception Statechart.Engine.Model_error msg ->
     errl sink msg;
@@ -301,14 +303,15 @@ let simulate ?(budget = Exec.Budget.unlimited) sink ~machine ~events ~metrics
     let names = split_events events in
     let ok =
       if rtl then run_rtl sink reg ~budget art sm names
-      else run_engines ~echo:true sink reg m sm names
+      else run_engines ~echo:true ~budget sink reg m sm names
     in
     emit_metrics sink metrics;
     if ok then 0 else 1
 
 (* --- trace ------------------------------------------------------------- *)
 
-let trace sink ~machine ~events (art : Artifacts.t) =
+let trace ?(budget = Exec.Budget.unlimited) sink ~machine ~events
+    (art : Artifacts.t) =
   let m = art.Artifacts.model in
   match choose_machine m machine with
   | None ->
@@ -316,7 +319,7 @@ let trace sink ~machine ~events (art : Artifacts.t) =
     1
   | Some sm ->
     let reg = Telemetry.Metrics.create () in
-    let ok = run_engines sink reg m sm (split_events events) in
+    let ok = run_engines ~budget sink reg m sm (split_events events) in
     let events = Telemetry.Metrics.events reg in
     List.iter
       (fun ev -> outf sink "%s\n" (Telemetry.Metrics.render_event ev))

@@ -88,13 +88,16 @@ val simulate :
   rtl:bool ->
   Artifacts.t ->
   int
-(** [budget] (default {!Exec.Budget.unlimited}) cancels the [--rtl]
-    path cooperatively — checkpointed per settle pass;
+(** [budget] (default {!Exec.Budget.unlimited}) cancels the run
+    cooperatively — checkpointed per settle pass on the [--rtl] path,
+    per dispatched event on the statechart path;
     {!Exec.Budget.Expired} propagates (it is deliberately outside
     {!guarded}'s net so the daemon can answer a typed timeout). *)
 
 val trace :
+  ?budget:Exec.Budget.t ->
   sink -> machine:string option -> events:string -> Artifacts.t -> int
+(** [budget] as {!simulate}'s statechart path: checked per event. *)
 
 val partition : sink -> budget:int -> Artifacts.t -> int
 

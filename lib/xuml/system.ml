@@ -113,7 +113,7 @@ let parse_methods m methods =
               in
               Hashtbl.replace methods
                 (cl.Classifier.cl_name, op.Classifier.op_name)
-                (Asl.Interp.Body (params, prog))
+                (Asl.Interp.body params prog)
             | exception exn -> (
               match Asl.Parser.error_message exn with
               | Some msg ->

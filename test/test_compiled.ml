@@ -218,6 +218,22 @@ let asl_tests =
         let src = "var x := 1; x := x + 1; return x;" in
         check Alcotest.bool "physically equal" true
           (Asl.Compiled.program src == Asl.Compiled.program src));
+    tc "domains share the compiled form of a first run" (fun () ->
+        (* a source no other test uses, so both domains race on its
+           first run, i.e. on compiling it *)
+        let src =
+          "var s := 0; for k := 1 to 20 do s := s + k * k; end; return s;"
+        in
+        let run () =
+          let interp = Asl.Interp.create (Asl.Store.create ()) in
+          List.init 200 (fun _ ->
+              Asl.Interp.run_compiled interp (Asl.Compiled.program src))
+        in
+        let d1 = Domain.spawn run and d2 = Domain.spawn run in
+        let r1 = Domain.join d1 and r2 = Domain.join d2 in
+        let expected = Some (Asl.Value.V_int 2870) in
+        check Alcotest.bool "every run agrees" true
+          (List.for_all (( = ) expected) (r1 @ r2)));
     tc "parse errors stay latent until evaluation" (fun () ->
         let g = Asl.Compiled.guard "1 +" in
         let interp = Asl.Interp.create (Asl.Store.create ()) in

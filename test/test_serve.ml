@@ -1021,6 +1021,52 @@ let resilience_tests =
           ];
         let v, _ = send d {|{"op":"stats"}|} in
         check Alcotest.int "both counted" 2 (serve_counter v "timeouts"));
+    tc "fuel cancels statechart simulate and trace per event" (fun () ->
+        let model = Lazy.force demo_model in
+        let d = Serve.Daemon.create () in
+        let events = "toggle,toggle,toggle" in
+        let expire req =
+          let v, continue = send d req in
+          check Alcotest.bool "ok:false" false (rbool "ok" v);
+          check Alcotest.string "typed code" "timeout" (rstr "code" v);
+          check Alcotest.string "deterministic diagnostic"
+            "budget expired: fuel limit 1 exhausted\n" (rstr "error" v);
+          check Alcotest.bool "daemon keeps serving" true continue;
+          rstr "output" v
+        in
+        (* one checkpoint allowed: the first event runs, the second
+           expires — the partial output is the one-event run's *)
+        let partial =
+          expire
+            (Printf.sprintf
+               {|{"op":"simulate","model":%S,"events":%S,"fuel":1}|} model
+               events)
+        in
+        let _code, one_event, _err =
+          run_cli [ "simulate"; "--events"; "toggle"; model ]
+        in
+        check Alcotest.string "simulate output up to the expiry" one_event
+          partial;
+        check Alcotest.string "trace prints nothing before the expiry" ""
+          (expire
+             (Printf.sprintf
+                {|{"op":"trace","model":%S,"events":%S,"fuel":1}|} model
+                events));
+        (* the expired requests left nothing behind: warm retries match
+           the one-shot CLI byte-for-byte *)
+        assert_differential d
+          ~args:[ "simulate"; "--events"; events; model ]
+          ~request:
+            (Printf.sprintf {|{"op":"simulate","model":%S,"events":%S}|}
+               model events);
+        assert_differential d
+          ~args:[ "trace"; "--events"; events; model ]
+          ~request:
+            (Printf.sprintf {|{"op":"trace","model":%S,"events":%S}|} model
+               events);
+        let v, _ = send d {|{"op":"stats"}|} in
+        check Alcotest.int "both counted" 2 (serve_counter v "timeouts");
+        assert_ledger_reconciles v);
     tc "wall-clock deadline requests stay well-formed" (fun () ->
         let model = Lazy.force demo_model in
         let d = Serve.Daemon.create () in
