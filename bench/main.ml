@@ -1269,6 +1269,13 @@ let e18_time f =
   done;
   !best
 
+(* Minor-heap words one call allocates: exact on one domain, so the
+   parse/of_xml split can be compared across changes without noise. *)
+let e18_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
 let e18_report () =
   sep "E18  snapshot load vs XMI import";
   List.iter
@@ -1279,6 +1286,13 @@ let e18_report () =
       let t_import =
         e18_time (fun () -> ignore (Xmi.Read.model_of_string xmi))
       in
+      (* the import split into its two layers: XML parse, then the
+         walk from the XML tree to the model *)
+      let doc = Sxml.Parse.parse_string xmi in
+      let t_parse = e18_time (fun () -> ignore (Sxml.Parse.parse_string xmi)) in
+      let t_of_xml = e18_time (fun () -> ignore (Xmi.Read.of_xml doc)) in
+      let w_parse = e18_words (fun () -> Sxml.Parse.parse_string xmi) in
+      let w_of_xml = e18_words (fun () -> Xmi.Read.of_xml doc) in
       let t_load =
         e18_time (fun () -> ignore (Snap.Read.model_of_string snap))
       in
@@ -1297,9 +1311,17 @@ let e18_report () =
          floor %6.3f ms), %7d -> %6d bytes, lossless: %b\n"
         classes (1e3 *. t_import) (1e3 *. t_load) (t_import /. t_load)
         (1e3 *. t_marshal) (String.length xmi) (String.length snap) lossless;
+      Printf.printf
+        "%-6s          import = parse %8.3f ms (%8.0f words) + of_xml %8.3f \
+         ms (%8.0f words)\n"
+        "" (1e3 *. t_parse) w_parse (1e3 *. t_of_xml) w_of_xml;
       let key fmt = Printf.sprintf fmt classes in
       record_f (key "e18.xmi_import_ms.classes%04d") (1e3 *. t_import);
       record_f (key "e18.snap_load_ms.classes%04d") (1e3 *. t_load);
+      record_f (key "e18.xmi_parse_ms.classes%04d") (1e3 *. t_parse);
+      record_f (key "e18.xmi_of_xml_ms.classes%04d") (1e3 *. t_of_xml);
+      record_f (key "e18.xmi_parse_words.classes%04d") w_parse;
+      record_f (key "e18.xmi_of_xml_words.classes%04d") w_of_xml;
       record_f (key "e18.load_speedup.classes%04d") (t_import /. t_load);
       record_f (key "e18.marshal_load_ms.classes%04d") (1e3 *. t_marshal);
       record_f (key "e18.export_ms.classes%04d") (1e3 *. t_export);

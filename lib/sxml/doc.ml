@@ -17,7 +17,11 @@ let tag_of = function
   | Element e -> Some e.tag
   | Text _ -> None
 
-let attr e name = List.assoc_opt name e.attrs
+let rec assoc name = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k name then Some v else assoc name rest
+
+let attr e name = assoc name e.attrs
 
 let attr_exn e name =
   match attr e name with
@@ -31,8 +35,20 @@ let child_elements e =
       | Text _ -> None)
     e.children
 
-let find_child e tag = List.find_opt (fun c -> c.tag = tag) (child_elements e)
-let find_children e tag = List.filter (fun c -> c.tag = tag) (child_elements e)
+let find_child e tag =
+  let rec first = function
+    | [] -> None
+    | Element c :: _ when String.equal c.tag tag -> Some c
+    | _ :: rest -> first rest
+  in
+  first e.children
+
+let find_children e tag =
+  List.filter_map
+    (function
+      | Element c when String.equal c.tag tag -> Some c
+      | Element _ | Text _ -> None)
+    e.children
 
 let text_content e =
   let buf = Buffer.create 16 in
